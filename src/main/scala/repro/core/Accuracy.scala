@@ -1,9 +1,5 @@
 package repro.core
 
-import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.expressions.Window
-import org.apache.spark.sql.functions._
-
 /** GPS horizontal/vertical accuracy (Def. 7): the minimum gap between two
   * distinct x- (resp. y-) coordinates of rectangle edges. Bounded below by
   * the positioning resolution, so the paper treats it as a constant; the
@@ -11,24 +7,9 @@ import org.apache.spark.sql.functions._
   */
 object Accuracy {
 
-  /** Distributed computation over the rectangle DataFrame: union the two edge
-    * coordinate columns, `distinct`, and take the minimum adjacent-difference
-    * under a window `lag` — the "window over geo-tagged partitions" path.
+  /** (ΔX, ΔY) of collected rectangles; +∞ on an axis with fewer than two
+    * distinct edge coordinates.
     */
-  def of(rects: DataFrame): (Double, Double) = (minGap(rects, "xlo", "xhi"), minGap(rects, "ylo", "yhi"))
-
-  private def minGap(rects: DataFrame, c1: String, c2: String): Double = {
-    val vals = rects.select(col(c1).as("v")).union(rects.select(col(c2).as("v"))).distinct()
-    val w = Window.orderBy("v")
-    val row = vals
-      .select((col("v") - lag("v", 1).over(w)).as("d"))
-      .where(col("d").isNotNull)
-      .agg(min("d").as("m"))
-      .collect()(0)
-    if (row.isNullAt(0)) Double.PositiveInfinity else row.getDouble(0)
-  }
-
-  /** Driver-local twin for collected rectangles. */
   def ofLocal(lr: LocalRects): (Double, Double) = {
     def gap(a: Array[Double], b: Array[Double]): Double = {
       val xs = (a ++ b).distinct.sorted

@@ -71,8 +71,8 @@ object CompositeAggregator {
   *   - f_D: `a{i}_idx` — index of the attribute value in the domain, or -1
   *     when the object is filtered out by γ or the value is out of domain;
   *   - f_A / f_S: `a{i}_val` (double) and `a{i}_sel` (boolean γ outcome).
-  * Both the distributed groupBy path and the collected local path work off
-  * these columns, so the two discretizers cannot drift apart.
+  * [[LocalRects.collect]] and [[representation]] both work off these
+  * columns.
   */
 object Agg {
 
@@ -142,7 +142,7 @@ object Agg {
       col("y") > region.y0 && col("y") < region.y1)
     val row = prepared.agg(rawStatExprs(spec, lit(true)).head,
                            rawStatExprs(spec, lit(true)).tail: _*).collect()(0)
-    val stats = CellStats.parseRow(row, spec, 0)
+    val stats = CellStats.parseRow(row, spec)
     CellStats.exactVec(spec, stats)
   }
 }

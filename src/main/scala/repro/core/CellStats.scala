@@ -4,7 +4,7 @@ import org.apache.spark.sql.Row
 
 /** Raw per-aggregator statistics of one grid cell: what the fully-covering
   * rectangle set contributes exactly, plus what the partially-covering set
-  * could add. Produced by both discretizer paths, consumed by the bound and
+  * could add. Produced by [[Discretize.local]], consumed by the bound and
   * distance math of §4.3.
   */
 sealed trait AggStat
@@ -39,7 +39,7 @@ object CellStats {
     }.toArray)
 
   /** Parse the columns produced by [[Agg.rawStatExprs]] out of a Row. */
-  def parseRow(row: Row, spec: CompositeAggregator, unused: Int): Array[AggStat] =
+  def parseRow(row: Row, spec: CompositeAggregator): Array[AggStat] =
     spec.aggs.zipWithIndex.map { case (a, i) =>
       def L(n: String): Long   = row.getAs[Long](n)
       def D(n: String): Double = row.getAs[Double](n)

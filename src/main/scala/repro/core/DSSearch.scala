@@ -1,26 +1,23 @@
 package repro.core
 
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions._
+import org.apache.spark.sql.functions.lit
 import scala.collection.mutable
 
 /** Knobs of Algorithm 1. `ncol×nrow` is the discretization grid (paper §7.2
-  * finds 30×30 best). Hybrid rule (DESIGN.md §2): a popped space is searched
-  * on the driver (rectangles collected once, subtree local) when it holds at
-  * most `localThreshold` rectangles or its depth reaches `sparkRootLevels`;
-  * above both, its statistics come from the distributed groupBy. The default
-  * distributes the root scans — the O(n) part — and recurses locally on the
-  * pruned sub-spaces, which hold a tiny fraction of n. `delta` is the (1+δ)
-  * approximation slack (§6, 0 = exact); `maxSpaces` is a runaway safeguard.
+  * finds 30×30 best). `delta` is the (1+δ) approximation slack (§6, 0 =
+  * exact); `maxSpaces` is a runaway safeguard: when it fires the search stops
+  * and reports [[SearchStats.truncated]].
   */
 final case class SearchParams(
     ncol: Int = 30, nrow: Int = 30,
-    localThreshold: Long = 4000,
-    sparkRootLevels: Int = 1,
     delta: Double = 0.0,
     maxSpaces: Int = 2_000_000)
 
 final class SearchStats {
+  /** Always 0: every space is discretized on the driver (DESIGN.md §2). Kept
+    * so callers that report it keep compiling.
+    */
   var sparkDiscretizations = 0
   var localDiscretizations = 0
   var spacesProcessed = 0
@@ -28,7 +25,7 @@ final class SearchStats {
   var truncated = false // maxSpaces safeguard fired (never in a healthy run)
 
   override def toString =
-    s"spaces=$spacesProcessed sparkJobs=$sparkDiscretizations local=$localDiscretizations cells=$cellsEvaluated"
+    s"spaces=$spacesProcessed local=$localDiscretizations cells=$cellsEvaluated truncated=$truncated"
 }
 
 /** Mutable incumbent shared across DS-Search invocations (GI-DS reuses one
@@ -50,77 +47,44 @@ final class SearchState(val objective: Objective, val delta: Double) {
 /** Algorithm 1, DS-Search: best-first loop over spaces kept in a heap,
   * discretize each popped space, harvest clean cells, prune dirty cells by
   * bound, split survivors (Function Split) unless the drop condition
-  * (Def. 8) holds.
+  * (Def. 8) holds. Runs on the driver over collected rectangles.
   */
 final class DSSearch(
     spec: CompositeAggregator,
     objective: Objective,
-    rects: Option[DataFrame],
     params: SearchParams = SearchParams()) {
 
-  private final case class Entry(bound: Double, space: Box,
-                                 local: Option[(LocalRects, Array[Int])], depth: Int)
+  private final case class Entry(bound: Double, space: Box, idxs: Array[Int])
 
   private val entryOrd: Ordering[Entry] =
     if (objective.isMin) Ordering.by((e: Entry) => -e.bound) else Ordering.by((e: Entry) => e.bound)
 
-  /** Search `space` (candidate bottom-left corners restricted to it) against
-    * the distributed rectangle set, updating `state`.
-    */
-  def run(state: SearchState, space: Box, dX: Double, dY: Double): Unit =
-    loop(state, dX, dY, Entry(initialBound, space, None, 0))
-
-  /** Search with pre-collected rectangles (`idxs` of `lr` are the candidates
-    * overlapping `space`) — used by GI-DS per index cell.
+  /** Search `space` (candidate bottom-left corners restricted to it) with
+    * the rectangles `idxs` of `lr` as candidates overlapping it, updating
+    * `state`. `bound` is a bound valid for every point of `space`.
     */
   def runLocal(state: SearchState, space: Box, dX: Double, dY: Double,
-               lr: LocalRects, idxs: Array[Int], bound: Double): Unit =
-    loop(state, dX, dY, Entry(bound, space, Some((lr, idxs)), 0))
-
-  private def initialBound: Double = if (objective.isMin) 0.0 else Double.PositiveInfinity
-
-  private def loop(state: SearchState, dX: Double, dY: Double, init: Entry): Unit = {
-    val heap = mutable.PriorityQueue(init)(entryOrd)
+               lr: LocalRects, idxs: Array[Int], bound: Double): Unit = {
+    val heap = mutable.PriorityQueue(Entry(bound, space, idxs))(entryOrd)
     while (heap.nonEmpty && objective.better(heap.head.bound, state.threshold)) {
       if (state.stats.spacesProcessed >= params.maxSpaces) {
         state.stats.truncated = true
-        Console.err.println(s"[DSSearch] maxSpaces=${params.maxSpaces} hit — result may be approximate")
         heap.clear()
       } else {
         val e = heap.dequeue()
         state.stats.spacesProcessed += 1
         if (e.space.width > 0 && e.space.height > 0) {
           val grid = Grid(e.space, params.ncol, params.nrow)
-          val (cells, localData) = e.local match {
-            case Some((lr, idxs)) =>
-              state.stats.localDiscretizations += 1
-              val here = filterIdxs(lr, idxs, e.space)
-              (Discretize.local(lr, here, grid, spec), Some((lr, here)))
-            case None =>
-              val df = rects.getOrElse(throw new IllegalStateException("no rectangle DataFrame"))
-              val overlapping = df.where(
-                col("xlo") < e.space.x1 && col("xhi") > e.space.x0 &&
-                col("ylo") < e.space.y1 && col("yhi") > e.space.y0)
-              val goLocal = e.depth >= params.sparkRootLevels ||
-                            overlapping.count() <= params.localThreshold
-              if (goLocal) {
-                state.stats.localDiscretizations += 1
-                val lr = LocalRects.collect(overlapping, spec)
-                val all = Array.range(0, lr.n)
-                (Discretize.local(lr, all, grid, spec), Some((lr, all)))
-              } else {
-                state.stats.sparkDiscretizations += 1
-                (Discretize.spark(df, grid, spec), None)
-              }
-          }
-          val dirty = harvest(grid, cells, state)
+          state.stats.localDiscretizations += 1
+          val here = filterIdxs(lr, e.idxs, e.space)
+          val dirty = harvest(grid, Discretize.local(lr, here, grid, spec), state)
           val drop = 2 * grid.cw < dX && 2 * grid.ch < dY
           if (!drop && dirty.nonEmpty) {
             val children = SplitHeuristic.split(dirty, objective)
               .flatMap(SplitHeuristic.ensureProgress(_, e.space))
             children.foreach { c =>
               if (objective.better(c.bound, state.threshold))
-                heap.enqueue(Entry(c.bound, c.mbr, localData, e.depth + 1))
+                heap.enqueue(Entry(c.bound, c.mbr, here))
             }
           }
         }
@@ -188,34 +152,29 @@ object DSSearch {
     solve(objects.withColumn("__one", lit(1.0)), a, b, spec, MaxCount(), params)
   }
 
+  /** One Spark job builds and collects the rectangles; everything after it
+    * (search space, ΔX/ΔY, incumbent seeding, the search) runs on the driver.
+    */
   def solve(objects: DataFrame, a: Double, b: Double, spec: CompositeAggregator,
             objective: Objective, params: SearchParams = SearchParams()): Result = {
-    val rects = Rects.build(objects, a, b, spec).cache()
-    try {
-      val n = rects.count()
-      val state = new SearchState(objective, params.delta)
-      if (n == 0) return Result(0, 0, emptyScore(spec, objective), state.stats)
+    val lr = LocalRects.collect(Rects.build(objects, a, b, spec), spec)
+    val state = new SearchState(objective, params.delta)
+    if (lr.n == 0) return Result(0, 0, emptyScore(spec, objective), state.stats)
 
-      val bb = rects.agg(min("xlo"), min("ylo"), max("xhi"), max("yhi")).collect()(0)
-      val space = Box(bb.getDouble(0), bb.getDouble(1), bb.getDouble(2), bb.getDouble(3))
+    val space = Rects.searchSpace(lr)
+    // Incumbent: the empty region, anchored strictly outside every rectangle.
+    state.offer(emptyScore(spec, objective), space.x1 + a, space.y1 + b)
+    seedIncumbent(lr, spec, objective, state)
 
-      // Incumbent: the empty region, anchored strictly outside every rectangle.
-      state.offer(emptyScore(spec, objective), space.x1 + a, space.y1 + b)
-
-      val ds = new DSSearch(spec, objective, Some(rects), params)
-      if (n <= params.localThreshold) {
-        val lr = LocalRects.collect(rects, spec)
-        val (dX, dY) = Accuracy.ofLocal(lr)
-        seedIncumbent(lr, spec, objective, state)
-        ds.runLocal(state, space, dX, dY, lr, Array.range(0, lr.n),
-                    if (objective.isMin) 0.0 else Double.PositiveInfinity)
-      } else {
-        val (dX, dY) = Accuracy.of(rects)
-        ds.run(state, space, dX, dY)
-      }
-      Result(state.bestX, state.bestY, state.bestScore, state.stats)
-    } finally rects.unpersist()
+    val (dX, dY) = Accuracy.ofLocal(lr)
+    new DSSearch(spec, objective, params).runLocal(
+      state, space, dX, dY, lr, Array.range(0, lr.n), openBound(objective))
+    Result(state.bestX, state.bestY, state.bestScore, state.stats)
   }
+
+  /** The trivial bound of a space nothing is known about yet. */
+  def openBound(objective: Objective): Double =
+    if (objective.isMin) 0.0 else Double.PositiveInfinity
 
   def emptyScore(spec: CompositeAggregator, objective: Objective): Double =
     objective.score(CellStats.exactVec(spec, CellStats.empty(spec, 0, 0).stats))

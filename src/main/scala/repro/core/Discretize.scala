@@ -1,69 +1,16 @@
 package repro.core
 
-import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions._
-
 /** Function Discretize (§4.3): lay an `ncol×nrow` grid over a space and
   * produce, per cell, the raw statistics of its fully-covering (clean
-  * contribution) and partially-covering (dirty bound) rectangle sets.
-  *
-  * Two equivalent paths (asserted identical in tests):
-  *   - [[spark]]: each rectangle is exploded to the cell indices it covers
-  *     and one `groupBy(ci, cj)` with conditional aggregates computes all
-  *     statistics — the distributed scan that dominates DS-Search's O(Ω·n).
-  *   - [[local]]: the same accumulation over a collected [[LocalRects]], used
-  *     once a sub-space holds few rectangles (DESIGN.md §2, hybrid rule).
+  * contribution) and partially-covering (dirty bound) rectangle sets. Runs
+  * on the driver over the rectangles `idxs` of a collected [[LocalRects]],
+  * visiting every cell each rectangle overlaps.
   *
   * Cells covered by no rectangle are absent from the output; callers treat
   * them as empty clean cells ([[CellStats.empty]]).
   */
 object Discretize {
 
-  def spark(rects: DataFrame, grid: Grid, spec: CompositeAggregator): Array[CellRaw] = {
-    val s = grid.space
-    val overlapping = rects.where(
-      col("xlo") < s.x1 && col("xhi") > s.x0 && col("ylo") < s.y1 && col("yhi") > s.y0)
-
-    // Index ranges — formulas mirror Grid.idxRange exactly (same double ops)
-    // so the two discretizer paths classify identically.
-    def rangeCols(lo: String, hi: String, origin: Double, step: Double, n: Int) = {
-      val aRaw = floor((col(lo) - origin) / step).cast("int")
-      val a    = when(lit(origin) + (aRaw + 1).cast("double") * step <= col(lo), aRaw + 1)
-                   .otherwise(aRaw)
-      val bRaw = ceil((col(hi) - origin) / step).cast("int") - 1
-      val b    = when(lit(origin) + bRaw.cast("double") * step >= col(hi), bRaw - 1)
-                   .otherwise(bRaw)
-      (greatest(a, lit(0)), least(b, lit(n - 1)))
-    }
-    val (ciLo, ciHi) = rangeCols("xlo", "xhi", s.x0, grid.cw, grid.ncol)
-    val (cjLo, cjHi) = rangeCols("ylo", "yhi", s.y0, grid.ch, grid.nrow)
-
-    val exploded = overlapping
-      .withColumn("ciLo", ciLo).withColumn("ciHi", ciHi)
-      .withColumn("cjLo", cjLo).withColumn("cjHi", cjHi)
-      .where(col("ciLo") <= col("ciHi") && col("cjLo") <= col("cjHi"))
-      .withColumn("ci", explode(sequence(col("ciLo"), col("ciHi"))))
-      .withColumn("cj", explode(sequence(col("cjLo"), col("cjHi"))))
-
-    val cellX0 = lit(s.x0) + col("ci").cast("double") * grid.cw
-    val cellY0 = lit(s.y0) + col("cj").cast("double") * grid.ch
-    val full = col("xlo") <= cellX0 && cellX0 + grid.cw <= col("xhi") &&
-               col("ylo") <= cellY0 && cellY0 + grid.ch <= col("yhi")
-
-    val aggCols = coalesce(sum(when(!full, 1L)), lit(0L)).as("npartial") +:
-      Agg.rawStatExprs(spec, full)
-
-    exploded
-      .groupBy(col("ci"), col("cj"))
-      .agg(aggCols.head, aggCols.tail: _*)
-      .collect()
-      .map { row =>
-        CellRaw(row.getAs[Int]("ci"), row.getAs[Int]("cj"),
-                row.getAs[Long]("npartial"), CellStats.parseRow(row, spec, 0))
-      }
-  }
-
-  /** Driver-local twin of [[spark]] over the rectangles `idxs` of `lr`. */
   def local(lr: LocalRects, idxs: Array[Int], grid: Grid, spec: CompositeAggregator): Array[CellRaw] = {
     val cells = grid.cells
     val (distSlot, numSlot) = LocalRects.slots(spec)

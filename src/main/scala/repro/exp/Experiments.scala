@@ -118,7 +118,7 @@ object Experiments {
     val a = 8 * unit(); val target = f1Target(data, a, a)
     SweepBase.solveASRS(data, a, a, F1, target)
     DSSearch.solveASRS(data, a, a, F1, target)
-    DSSearch.solveMaxRS(data, a, a, SearchParams(localThreshold = Long.MaxValue))
+    DSSearch.solveMaxRS(data, a, a)
     MaxRSOE.solveMaxRS(data, a, a)
     data.unpersist()
   }
@@ -145,7 +145,7 @@ object Experiments {
                             count: Long, agreed: Boolean)
 
   def maxrs(spark: SparkSession, ns: Seq[Long], k: Int,
-            params: SearchParams): Seq[MaxRSRow] =
+            params: SearchParams = SearchParams()): Seq[MaxRSRow] =
     ns.map { n =>
       val data = SynthData.pois(spark, n).cache()
       data.count()

@@ -1,9 +1,10 @@
 package repro.core
 
 import repro.SparkSpec
-import org.apache.spark.sql.functions.lit
+import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.functions.{col, min}
 
-/** Def. 7 GPS accuracies: window-function path vs local path vs hand math. */
+/** Def. 7 GPS accuracies: local path vs a Spark SQL reference vs hand math. */
 class AccuracySpec extends SparkSpec {
 
   test("accuracy of a known edge set") {
@@ -12,11 +13,21 @@ class AccuracySpec extends SparkSpec {
     val data = Seq((0.25, 0.5, "A", 1.0, 1.0), (0.5, 0.25, "A", 1.0, 1.0),
                    (0.625, 0.75, "B", 1.0, 1.0)).toDF("x", "y", "cat", "v", "w")
     val spec = TestGen.specs(0)
-    val rects = Rects.build(data, 0.125, 0.25, spec)
-    val (dx, dy) = Accuracy.of(rects)
+    val (dx, dy) = Accuracy.ofLocal(TestGen.localRects(data, 0.125, 0.25, spec))
     assert(math.abs(dx - 0.125) < 1e-12)
     // y edges: {0.0, 0.25, 0.5, 0.75} → min gap 0.25
     assert(math.abs(dy - 0.25) < 1e-12)
+  }
+
+  // Reference by definition, in Spark SQL over the rectangle DataFrame: the
+  // smallest positive difference between two distinct edge coordinates.
+  private def sparkMinGap(rects: DataFrame, c1: String, c2: String): Double = {
+    val vals = rects.select(col(c1).as("v")).union(rects.select(col(c2).as("v"))).distinct()
+    val row = vals.as("p").crossJoin(vals.as("q"))
+      .where(col("q.v") > col("p.v"))
+      .agg(min(col("q.v") - col("p.v")))
+      .collect()(0)
+    if (row.isNullAt(0)) Double.PositiveInfinity else row.getDouble(0)
   }
 
   for (seed <- 1 to 5) test(s"spark and local accuracies agree (seed $seed)") {
@@ -24,7 +35,7 @@ class AccuracySpec extends SparkSpec {
     val spec = TestGen.specs(0)
     val rects = Rects.build(data, 6 / 64.0, 9 / 64.0, spec).cache()
     val lr = LocalRects.collect(rects, spec)
-    val (sx, sy) = Accuracy.of(rects)
+    val (sx, sy) = (sparkMinGap(rects, "xlo", "xhi"), sparkMinGap(rects, "ylo", "yhi"))
     val (lx, ly) = Accuracy.ofLocal(lr)
     assert(math.abs(sx - lx) < 1e-15 && math.abs(sy - ly) < 1e-15)
     rects.unpersist()
