@@ -22,15 +22,15 @@ final class SearchStats {
   var localDiscretizations = 0
   var spacesProcessed = 0
   var cellsEvaluated = 0L
+  var indexCellsSearched = 0 // grid-index cells popped (GI-DS roots)
   var truncated = false // maxSpaces safeguard fired (never in a healthy run)
 
   override def toString =
-    s"spaces=$spacesProcessed local=$localDiscretizations cells=$cellsEvaluated truncated=$truncated"
+    s"spaces=$spacesProcessed local=$localDiscretizations cells=$cellsEvaluated " +
+    s"indexCells=$indexCellsSearched truncated=$truncated"
 }
 
-/** Mutable incumbent shared across DS-Search invocations (GI-DS reuses one
-  * state over many index cells so pruning compounds, Algorithm 2).
-  */
+/** Mutable incumbent and statistics of one query's search. */
 final class SearchState(val objective: Objective, val delta: Double) {
   var bestScore: Double = objective.worst
   var bestX: Double = Double.NaN
@@ -53,19 +53,19 @@ final class DSSearch(
     spec: CompositeAggregator,
     objective: Objective,
     params: SearchParams = SearchParams()) {
-
-  private final case class Entry(bound: Double, space: Box, idxs: Array[Int])
+  import DSSearch.Entry
 
   private val entryOrd: Ordering[Entry] =
     if (objective.isMin) Ordering.by((e: Entry) => -e.bound) else Ordering.by((e: Entry) => e.bound)
 
-  /** Search `space` (candidate bottom-left corners restricted to it) with
-    * the rectangles `idxs` of `lr` as candidates overlapping it, updating
-    * `state`. `bound` is a bound valid for every point of `space`.
+  /** The one best-first loop, over the rectangles of `lr` and started from
+    * `roots`, updating `state`. DS-Search starts from one root, its search
+    * space; GI-DS (Algorithm 2) from the boundary strips and every grid-index
+    * cell, so index cells and the sub-spaces split from them share one heap.
     */
-  def runLocal(state: SearchState, space: Box, dX: Double, dY: Double,
-               lr: LocalRects, idxs: Array[Int], bound: Double): Unit = {
-    val heap = mutable.PriorityQueue(Entry(bound, space, idxs))(entryOrd)
+  def search(state: SearchState, roots: Iterable[Entry], dX: Double, dY: Double,
+             lr: LocalRects): Unit = {
+    val heap = mutable.PriorityQueue.from(roots)(entryOrd)
     while (heap.nonEmpty && objective.better(heap.head.bound, state.threshold)) {
       if (state.stats.spacesProcessed >= params.maxSpaces) {
         state.stats.truncated = true
@@ -73,6 +73,7 @@ final class DSSearch(
       } else {
         val e = heap.dequeue()
         state.stats.spacesProcessed += 1
+        if (e.indexCell) state.stats.indexCellsSearched += 1
         if (e.space.width > 0 && e.space.height > 0) {
           val grid = Grid(e.space, params.ncol, params.nrow)
           state.stats.localDiscretizations += 1
@@ -92,33 +93,26 @@ final class DSSearch(
     }
   }
 
-  /** Evaluate every cell of the grid: clean cells refine the incumbent, dirty
-    * cells surviving the bound check are returned for splitting.
+  /** Evaluate the discretized cells: clean cells refine the incumbent, dirty
+    * cells surviving the bound check are returned for splitting. A cell no
+    * rectangle touches is absent from `cells` and skipped: it scores the
+    * empty representation, which the incumbent has held since the query
+    * start, and `offer` keeps only strictly better scores.
     */
   private def harvest(grid: Grid, cells: Array[CellRaw],
                       state: SearchState): IndexedSeq[SplitHeuristic.DirtyCell] = {
-    val present = new Array[CellRaw](grid.cells)
-    cells.foreach(c => present(grid.flat(c.ci, c.cj)) = c)
+    state.stats.cellsEvaluated += grid.cells
     val dirty = IndexedSeq.newBuilder[SplitHeuristic.DirtyCell]
-    var j = 0
-    while (j < grid.nrow) {
-      var i = 0
-      while (i < grid.ncol) {
-        state.stats.cellsEvaluated += 1
-        val raw = present(grid.flat(i, j))
-        val box = grid.cellBox(i, j)
-        if (raw == null || !raw.isDirty) {
-          val stats = if (raw == null) CellStats.empty(spec, i, j).stats else raw.stats
-          state.offer(objective.score(CellStats.exactVec(spec, stats)), box.centerX, box.centerY)
-        } else {
-          val (lo, hi) = CellStats.boundVecs(spec, raw.stats)
-          val b = objective.bound(lo, hi)
-          if (objective.better(b, state.threshold))
-            dirty += SplitHeuristic.DirtyCell(box, b)
-        }
-        i += 1
+    cells.foreach { raw =>
+      val box = grid.cellBox(raw.ci, raw.cj)
+      if (!raw.isDirty) {
+        state.offer(objective.score(CellStats.exactVec(spec, raw.stats)), box.centerX, box.centerY)
+      } else {
+        val (lo, hi) = CellStats.boundVecs(spec, raw.stats)
+        val b = objective.bound(lo, hi)
+        if (objective.better(b, state.threshold))
+          dirty += SplitHeuristic.DirtyCell(box, b)
       }
-      j += 1
     }
     dirty.result()
   }
@@ -152,24 +146,42 @@ object DSSearch {
     solve(objects.withColumn("__one", lit(1.0)), a, b, spec, MaxCount(), params)
   }
 
-  /** One Spark job builds and collects the rectangles; everything after it
-    * (search space, ΔX/ΔY, incumbent seeding, the search) runs on the driver.
+  /** A space waiting in the search heap: `bound` holds for every candidate
+    * point of `space`, `idxs` index the rectangles that may overlap it, and
+    * `indexCell` marks a GI-DS grid-index cell.
     */
-  def solve(objects: DataFrame, a: Double, b: Double, spec: CompositeAggregator,
-            objective: Objective, params: SearchParams = SearchParams()): Result = {
-    val lr = LocalRects.collect(Rects.build(objects, a, b, spec), spec)
-    val state = new SearchState(objective, params.delta)
-    if (lr.n == 0) return Result(0, 0, emptyScore(spec, objective), state.stats)
+  final case class Entry(bound: Double, space: Box, idxs: Array[Int], indexCell: Boolean = false)
 
+  /** What a query starts from: its collected rectangles, their search space
+    * and ΔX/ΔY, and a search state whose incumbent is the empty region.
+    */
+  private[core] final case class Start(lr: LocalRects, state: SearchState, space: Box,
+                                       dX: Double, dY: Double)
+
+  /** The query start shared by DS-Search and GI-DS. One Spark job builds and
+    * collects the rectangles; everything after it runs on the driver.
+    */
+  private[core] def start(objects: DataFrame, a: Double, b: Double, spec: CompositeAggregator,
+                          objective: Objective, delta: Double): Start = {
+    val lr = LocalRects.collect(Rects.build(objects, a, b, spec), spec)
+    val state = new SearchState(objective, delta)
     val space = Rects.searchSpace(lr)
     // Incumbent: the empty region, anchored strictly outside every rectangle.
     state.offer(emptyScore(spec, objective), space.x1 + a, space.y1 + b)
-    seedIncumbent(lr, spec, objective, state)
-
     val (dX, dY) = Accuracy.ofLocal(lr)
-    new DSSearch(spec, objective, params).runLocal(
-      state, space, dX, dY, lr, Array.range(0, lr.n), openBound(objective))
-    Result(state.bestX, state.bestY, state.bestScore, state.stats)
+    Start(lr, state, space, dX, dY)
+  }
+
+  /** DS-Search from the shared start: seed the incumbent, then search the
+    * whole search space from one root.
+    */
+  def solve(objects: DataFrame, a: Double, b: Double, spec: CompositeAggregator,
+            objective: Objective, params: SearchParams = SearchParams()): Result = {
+    val q = start(objects, a, b, spec, objective, params.delta)
+    seedIncumbent(q.lr, spec, objective, q.state)
+    new DSSearch(spec, objective, params).search(
+      q.state, Seq(Entry(openBound(objective), q.space, Array.range(0, q.lr.n))), q.dX, q.dY, q.lr)
+    Result(q.state.bestX, q.state.bestY, q.state.bestScore, q.state.stats)
   }
 
   /** The trivial bound of a space nothing is known about yet. */
@@ -187,7 +199,6 @@ object DSSearch {
     */
   private def seedIncumbent(lr: LocalRects, spec: CompositeAggregator,
                             objective: Objective, state: SearchState): Unit = {
-    if (lr.n == 0) return
     val k = math.max(16, math.min(512, (2e7 / lr.n).toInt))
     val step = math.max(1, lr.n / k)
     var i = 0

@@ -6,8 +6,8 @@ package repro.core
   * on the driver over the rectangles `idxs` of a collected [[LocalRects]],
   * visiting every cell each rectangle overlaps.
   *
-  * Cells covered by no rectangle are absent from the output; callers treat
-  * them as empty clean cells ([[CellStats.empty]]).
+  * Cells covered by no rectangle are absent from the output: they are clean
+  * and hold the empty representation ([[CellStats.empty]]).
   */
 object Discretize {
 

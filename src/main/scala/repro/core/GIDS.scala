@@ -1,19 +1,21 @@
 package repro.core
 
 import org.apache.spark.sql.DataFrame
-import scala.collection.mutable
 
 /** Algorithm 2 (GI-DS) and its (1+δ)-approximate extension (§6).
   *
-  * The grid index supplies a lower bound per index cell for all candidate
-  * regions bottom-left-located in it; cells are then searched best-first by
-  * DS-Search, sharing one incumbent, until the heap's top bound reaches
-  * `d_opt/(1+δ)` (δ = 0 ⇒ exact, Algorithm 2 line 5).
+  * The grid index supplies a bound per index cell for all candidate regions
+  * bottom-left-located in it (§5.3). GI-DS is DS-Search started from those
+  * cells: every index cell enters DS-Search's one best-first heap as a root
+  * with its bound, so index cells and the sub-spaces split from them are
+  * popped in one order and share one incumbent until the heap's top bound
+  * reaches `d_opt/(1+δ)` (δ = 0 ⇒ exact, Algorithm 2 line 5).
   *
-  * Orchestration note (DESIGN.md §2): the index build and the ASP reduction
-  * are distributed dataflows; the per-cell searches run on collected
-  * rectangles (each index cell holds a tiny fraction of them) via per-cell
-  * buckets, which is what makes GI-DS cheaper than plain DS-Search.
+  * Orchestration note (DESIGN.md §2): the index build is a distributed
+  * dataflow; a query collects its rectangles once, as DS-Search does, and
+  * buckets them by index cell so each cell's root holds only the rectangles
+  * overlapping it. Each query still collects and buckets all n rectangles,
+  * so GI-DS is not yet faster than plain DS-Search (ROADMAP item 4).
   */
 object GIDS {
 
@@ -25,69 +27,43 @@ object GIDS {
 
   def solve(objects: DataFrame, a: Double, b: Double, spec: CompositeAggregator,
             target: Array[Double], index: GridIndex,
-            params: SearchParams = SearchParams()): Result =
-    run(objects, a, b, spec, MinDistance(spec, target), index, params)
-
-  def run(objects: DataFrame, a: Double, b: Double, spec: CompositeAggregator,
-          objective: Objective, index: GridIndex, params: SearchParams): Result = {
-    val lr = LocalRects.collect(Rects.build(objects, a, b, spec), spec)
-    val (dX, dY) = Accuracy.ofLocal(lr)
-    val state = new SearchState(objective, params.delta)
-    val searchSpace = Rects.searchSpace(lr)
-    state.offer(DSSearch.emptyScore(spec, objective), searchSpace.x1 + a, searchSpace.y1 + b)
-
-    val ds = new DSSearch(spec, objective, params)
+            params: SearchParams = SearchParams()): Result = {
+    val objective = MinDistance(spec, target)
+    // Unlike DS-Search, no incumbent seeding: the best-bounded index cells
+    // are popped first and give a good incumbent at once. Seeding searched
+    // the same cells and spaces and only added its own scoring time
+    // (DESIGN.md §3).
+    val q = DSSearch.start(objects, a, b, spec, objective, params.delta)
+    val g = index.grid
 
     // Boundary strips: candidate corners left of / below the index space
     // (their regions still overlap objects; the index cells cannot bound
-    // them). Thin, searched unconditionally.
+    // them), rooted with the trivial bound.
+    val all = Array.range(0, q.lr.n)
+    val open = DSSearch.openBound(objective)
     val strips = Seq(
-      Box(index.space.x0 - a, index.space.y0 - b, index.space.x0, index.space.y1),
-      Box(index.space.x0, index.space.y0 - b, index.space.x1, index.space.y0))
-    strips.foreach { s =>
-      ds.runLocal(state, s, dX, dY, lr, lr.overlapping(s), DSSearch.openBound(objective))
-    }
+      DSSearch.Entry(open, Box(g.space.x0 - a, g.space.y0 - b, g.space.x0, g.space.y1), all),
+      DSSearch.Entry(open, Box(g.space.x0, g.space.y0 - b, g.space.x1, g.space.y0), all))
 
     // Bucket rectangles by the index cells they overlap (one pass).
-    val igrid = Grid(index.space, index.sx, index.sy)
-    val buckets = Array.fill(index.sx * index.sy)(new mutable.ArrayBuffer[Int](8))
+    val buckets = Array.fill(g.cells)(Array.newBuilder[Int])
     var r = 0
-    while (r < lr.n) {
-      val (ciLo, ciHi) = igrid.colRange(lr.xlo(r), lr.xhi(r))
-      val (cjLo, cjHi) = igrid.rowRange(lr.ylo(r), lr.yhi(r))
-      var cj = cjLo
-      while (cj <= cjHi) {
-        var ci = ciLo
-        while (ci <= ciHi) { buckets(cj * index.sx + ci) += r; ci += 1 }
-        cj += 1
-      }
+    while (r < q.lr.n) {
+      val (ciLo, ciHi) = g.colRange(q.lr.xlo(r), q.lr.xhi(r))
+      val (cjLo, cjHi) = g.rowRange(q.lr.ylo(r), q.lr.yhi(r))
+      for (cj <- cjLo to cjHi; ci <- ciLo to ciHi) buckets(g.flat(ci, cj)) += r
       r += 1
     }
 
-    // Lower bound every index cell, then search best-first (lines 2-7).
-    final case class CellEntry(bound: Double, ci: Int, cj: Int)
-    val ord: Ordering[CellEntry] =
-      if (objective.isMin) Ordering.by((e: CellEntry) => -e.bound)
-      else Ordering.by((e: CellEntry) => e.bound)
-    val heap = mutable.PriorityQueue.empty[CellEntry](ord)
-    var cj = 0
-    while (cj < index.sy) {
-      var ci = 0
-      while (ci < index.sx) {
-        val (lo, hi) = index.candidateBounds(ci, cj, a, b)
-        heap.enqueue(CellEntry(objective.bound(lo, hi), ci, cj))
-        ci += 1
-      }
-      cj += 1
+    // Every index cell is a root with its Lemma-8 bound (lines 2-3).
+    val cells = for (cj <- 0 until g.nrow; ci <- 0 until g.ncol) yield {
+      val (lo, hi) = index.candidateBounds(ci, cj, a, b)
+      DSSearch.Entry(objective.bound(lo, hi), g.cellBox(ci, cj),
+                     buckets(g.flat(ci, cj)).result(), indexCell = true)
     }
 
-    var searched = 0
-    while (heap.nonEmpty && objective.better(heap.head.bound, state.threshold)) {
-      val e = heap.dequeue()
-      searched += 1
-      ds.runLocal(state, index.cellBox(e.ci, e.cj), dX, dY,
-                  lr, buckets(e.cj * index.sx + e.ci).toArray, e.bound)
-    }
-    Result(state.bestX, state.bestY, state.bestScore, searched, index.sx * index.sy, state.stats)
+    new DSSearch(spec, objective, params).search(q.state, strips ++ cells, q.dX, q.dY, q.lr)
+    val s = q.state
+    Result(s.bestX, s.bestY, s.bestScore, s.stats.indexCellsSearched, g.cells, s.stats)
   }
 }

@@ -18,11 +18,8 @@ final class GridIndex(
     val spec: CompositeAggregator,
     stats: Array[GridIndex.IdxStat]) {
 
-  val cw: Double = space.width / sx
-  val ch: Double = space.height / sy
-
-  def cellBox(ci: Int, cj: Int): Box =
-    Box(space.x0 + ci * cw, space.y0 + cj * ch, space.x0 + (ci + 1) * cw, space.y0 + (cj + 1) * ch)
+  /** The index cells: cell `(ci, cj)` is `grid.cellBox(ci, cj)`. */
+  val grid: Grid = Grid(space, sx, sy)
 
   /** Lemma 8: aggregate over the object cells `[i0, i1) × [j0, j1)`. */
   private def range(s: Array[Double], i0: Int, i1: Int, j0: Int, j1: Int): Double = {
@@ -49,6 +46,7 @@ final class GridIndex(
     * `((loI0,loI1,loJ0,loJ1), (hiI0,hiI1,hiJ0,hiJ1))`, end-exclusive.
     */
   def candidateRanges(ci: Int, cj: Int, a: Double, b: Double): ((Int, Int, Int, Int), (Int, Int, Int, Int)) = {
+    val cw = grid.cw; val ch = grid.ch
     val cellX0 = space.x0 + ci * cw; val cellX1 = cellX0 + cw
     val cellY0 = space.y0 + cj * ch; val cellY1 = cellY0 + ch
     // Bounded region = cells fully inside the intersection of all candidates,

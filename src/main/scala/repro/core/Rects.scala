@@ -25,8 +25,8 @@ object Rects {
 
   /** The ASP search space: every point covered by at least one rectangle lies
     * in the union bounding box of the rectangles; everything outside has the
-    * empty representation. A tiny symmetric margin keeps boundary clean cells
-    * evaluable at their centers.
+    * empty representation. With no rectangles it is the unit square, where
+    * every point has the empty representation.
     */
   def searchSpace(local: LocalRects): Box = {
     if (local.n == 0) return Box(0, 0, 1, 1)
@@ -53,21 +53,7 @@ final class LocalRects(
     val distIdx: Array[Array[Int]],     // one array per f_D aggregator position
     val numVal: Array[Array[Double]],   // one array per f_A/f_S aggregator position
     val numSel: Array[Array[Boolean]],
-) {
-  def box(i: Int): Box = Box(xlo(i), ylo(i), xhi(i), yhi(i))
-
-  /** Indices of rectangles whose interior intersects `space`. */
-  def overlapping(space: Box): Array[Int] = {
-    val out = Array.newBuilder[Int]
-    var i = 0
-    while (i < n) {
-      if (xlo(i) < space.x1 && space.x0 < xhi(i) && ylo(i) < space.y1 && space.y0 < yhi(i))
-        out += i
-      i += 1
-    }
-    out.result()
-  }
-}
+)
 
 object LocalRects {
 

@@ -1,6 +1,7 @@
 package repro.core
 
 import repro.SparkSpec
+import repro.exp.Experiments
 import scala.util.Random
 
 /** Algorithm 2 (GI-DS) with δ=0 is exact and prunes index cells. */
@@ -19,6 +20,9 @@ class GIDSSpec extends SparkSpec {
       val res = GIDS.solve(data, a, b, spec, target, idx)
       assert(math.abs(res.score - brute.score) < 1e-9,
         s"GIDS ${res.score} vs brute ${brute.score} (a=$a b=$b)")
+      // the reported point must actually achieve the reported score
+      val achieved = MinDistance(spec, target).score(BruteForce.evalPoint(lr, spec, res.x, res.y))
+      assert(math.abs(achieved - res.score) < 1e-9, s"reported point achieves $achieved, not ${res.score}")
       assert(res.totalCells == g * g)
       assert(res.cellsSearched >= 0 && res.cellsSearched <= res.totalCells)
       data.unpersist()
@@ -67,5 +71,27 @@ class GIDSSpec extends SparkSpec {
     val rFine = GIDS.solve(data, a, b, spec, target, fine)
     val rCoarse = GIDS.solve(data, a, b, spec, target, coarse)
     assert(math.abs(rFine.score - rCoarse.score) < 1e-9) // granularity never changes the answer
+  }
+
+  // Thousands of objects on a 32x32 index: exact against Base at δ = 0, and
+  // within (1+δ)·d_opt at δ = 0.2 (Theorem 3).
+  test("equals Base on 6000 POIs and keeps Theorem 3 (F1, 10q, 32x32 index)") {
+    val data = repro.SynthData.pois(spark, 6000, seed = 3).cache()
+    val a = 10 * Experiments.unit(); val b = a
+    val spec = Experiments.F1
+    val target = Experiments.f1Target(data, a, b)
+    val lr = TestGen.localRects(data, a, b, spec)
+    val base = SweepBase.solve(lr, spec, MinDistance(spec, target))
+    val idx = GridIndex.build(data, spec, 32, 32)
+    val exact = GIDS.solve(data, a, b, spec, target, idx)
+    assert(math.abs(exact.score - base.score) < 1e-9, s"GIDS ${exact.score} vs Base ${base.score}")
+    val achieved = spec.distance(BruteForce.evalPoint(lr, spec, exact.x, exact.y), target)
+    assert(math.abs(achieved - exact.score) < 1e-9, s"reported point achieves $achieved, not ${exact.score}")
+    assert(!exact.stats.truncated)
+    val approx = GIDS.solve(data, a, b, spec, target, idx, SearchParams(delta = 0.2))
+    assert(approx.score <= 1.2 * base.score + 1e-9, s"app-GIDS ${approx.score} vs Base ${base.score}")
+    val approxAchieved = spec.distance(BruteForce.evalPoint(lr, spec, approx.x, approx.y), target)
+    assert(math.abs(approxAchieved - approx.score) < 1e-9)
+    data.unpersist()
   }
 }
